@@ -45,21 +45,8 @@ fn engine_flag() -> Option<Engine> {
 }
 
 /// Whether `engine`'s rung should run under the current `--engine=` filter.
-/// Compares by variant, not by value, so `--engine=parallel` and
-/// `--engine=parallel:8` both select the parallel rungs (the rung's own
-/// worker count is then taken from the flag via [`flag_workers`]).
 fn engine_selected(engine: Engine) -> bool {
-    engine_flag()
-        .map(|chosen| std::mem::discriminant(&chosen) == std::mem::discriminant(&engine))
-        .unwrap_or(true)
-}
-
-/// Worker count requested via `--engine=parallel:N`, if any.
-fn flag_workers() -> Option<usize> {
-    match engine_flag() {
-        Some(Engine::Parallel { workers }) if workers > 0 => Some(workers),
-        _ => None,
-    }
+    engine_flag().is_none_or(|chosen| chosen == engine)
 }
 
 fn bench_rmat_generation(c: &mut Criterion) {
@@ -181,11 +168,9 @@ fn bench_noc_cycle_64x64(c: &mut Criterion) {
 /// every tile sends three maximum-length (8-flit) messages, one of them
 /// across the grid.  Long serialization makes most cycles forward nothing
 /// — each link that moved a message sits busy for 8 cycles — which is
-/// exactly the regime `Network::advance_to` jumps.  `skip` selects the
-/// skip-to-next-event drive loop or plain tick-every-cycle; both produce
-/// the identical modelled schedule (the equivalence suite pins that), so
-/// per-iteration time is inversely proportional to end-to-end cycles/sec.
-fn torus_64x64_serialization_wave(net: &mut Network, skip: bool) -> u64 {
+/// exactly the regime the skip-to-next-event drive loop
+/// (`Network::advance_to`) jumps.
+fn torus_64x64_serialization_wave(net: &mut Network) -> u64 {
     const N: usize = 64 * 64;
     const FLITS: usize = 8;
     for src in 0..N {
@@ -197,9 +182,7 @@ fn torus_64x64_serialization_wave(net: &mut Network, skip: bool) -> u64 {
         }
     }
     while net.in_flight() > 0 {
-        if skip {
-            net.advance_to(net.next_event_cycle());
-        }
+        net.advance_to(net.next_event_cycle());
         net.cycle();
     }
     for tile in 0..N {
@@ -208,39 +191,22 @@ fn torus_64x64_serialization_wave(net: &mut Network, skip: bool) -> u64 {
     net.current_cycle()
 }
 
-/// The ISSUE-4 acceptance case: the skip-to-next-event engine must sustain
-/// at least 1.5x the end-to-end cycles/sec of the tick-every-cycle drive
-/// loop on the fabric-bound dense 64x64 torus wave (measured ~1.6x in this
-/// container; the modelled cycle count of one wave is identical either
-/// way, so compare per-iteration times directly).
+/// The skip-to-next-event drive loop on the fabric-bound dense 64x64
+/// torus wave, where most cycles are provably quiet.
 fn bench_noc_skip_64x64(c: &mut Criterion) {
     let shape = GridShape::new(64, 64);
     c.bench_function("sim_64x64_wave_skip", |b| {
         let mut net = Network::new(NocConfig::new(shape, Topology::Torus));
-        b.iter(|| black_box(torus_64x64_serialization_wave(&mut net, true)))
-    });
-    c.bench_function("sim_64x64_wave_tick", |b| {
-        let mut net = Network::new(NocConfig::new(shape, Topology::Torus));
-        b.iter(|| black_box(torus_64x64_serialization_wave(&mut net, false)))
+        b.iter(|| black_box(torus_64x64_serialization_wave(&mut net)))
     });
 }
 
-/// The ISSUE-10 acceptance case: the due-only calendar walk must sustain at
-/// least 1.3x the cycles/sec of the preserved full calendar walk
-/// (`RouterScheduler::CalendarScan`, the pre-change implementation) on the
-/// dense convergecast waves at 128x128 and up, where the per-cycle walk
-/// dominates (measured ~1.5x at 128x128 and ~1.9x on the 256x256 rung in
-/// this container).  The 256x256 rung is the new regime this PR adds:
-/// 65,536 routers, almost all of them active (holding backpressured
-/// flits) for the whole drain, so the full walk's O(active) stamp-compare
-/// pass is the bulk of the cycle budget — it touches ~58x the routers the
-/// due-only walk does.  Both schedulers produce the bit-identical
-/// forwarding schedule (the property and equivalence suites pin that, and
-/// each wave's modelled cycle count is equal by construction), so time per
-/// iteration is inversely proportional to cycles/sec; compare
-/// `sim_<side>_wave_calendar/due_only` against `.../full_walk`.  The wave
-/// itself is the shared [`dalorex_bench::waves::convergecast_wave`], the
-/// exact traffic `perf_snapshot`'s in-binary A/B times.
+/// The due-only calendar walk on the dense convergecast waves at 64x64,
+/// 128x128 and 256x256, where the per-cycle walk dominates: 65,536 routers
+/// at the top rung, almost all of them active (holding backpressured
+/// flits) for the whole drain, while the walk visits only the due ones.
+/// The wave itself is the shared
+/// [`dalorex_bench::waves::convergecast_wave`].
 fn bench_noc_calendar_walk(c: &mut Criterion) {
     let bench_mode = std::env::args().any(|a| a == "--bench");
     for (real_side, group_name) in [
@@ -257,15 +223,10 @@ fn bench_noc_calendar_walk(c: &mut Criterion) {
         let side = if bench_mode { real_side } else { 8 };
         let mut group = c.benchmark_group(group_name);
         group.sample_size(if bench_mode && real_side >= 256 { 1 } else { 3 });
-        for (name, scheduler) in [
-            ("due_only", RouterScheduler::Calendar),
-            ("full_walk", RouterScheduler::CalendarScan),
-        ] {
-            group.bench_function(name, |b| {
-                let mut net = dalorex_bench::waves::convergecast_net(side, scheduler);
-                b.iter(|| black_box(dalorex_bench::waves::convergecast_wave(&mut net, side)))
-            });
-        }
+        group.bench_function("due_only", |b| {
+            let mut net = dalorex_bench::waves::convergecast_net(side, RouterScheduler::Calendar);
+            b.iter(|| black_box(dalorex_bench::waves::convergecast_wave(&mut net, side)))
+        });
         group.finish();
     }
 }
@@ -275,16 +236,12 @@ fn bench_noc_calendar_walk(c: &mut Criterion) {
 /// per tile, so the per-cycle TSU path, not the kernel bodies, dominates).
 /// `Simulation::run` drives the allocation-free tile path (ring-buffer
 /// queues, inline payloads, O(1) idle tracking, incremental scheduling,
-/// parked-injection elision) under the skip-to-next-event engine;
-/// `Simulation::run_ticked` is the same tile path ticking every cycle (the
-/// PR 3 engine), and `Simulation::run_reference` the preserved pre-overhaul
-/// path.  All three produce cycle-exact identical outcomes (the
+/// parked-injection elision) under the skip-to-next-event engine, and
+/// `Simulation::run_reference` the preserved pre-overhaul path ticking
+/// every cycle.  Both produce cycle-exact identical outcomes (the
 /// equivalence suite pins that), so per-iteration time is inversely
 /// proportional to cycles/sec; the hot path must sustain at least 1.5x the
-/// reference's throughput (measured ~2.7x in this container; this dense
-/// SSSP run has deliveries on almost every cycle, so the *skip* engine's
-/// extra win over `run_ticked` here is modest — the skip acceptance case
-/// is the fabric-bound `sim_64x64_wave_*` pair).
+/// reference's throughput (measured ~2.7x when it was accepted).
 fn bench_sim_tile_path_64x64(c: &mut Criterion) {
     // Under plain `cargo test` the criterion shim smoke-runs each bench
     // once in the debug profile (with debug assertions); the full 64x64
@@ -303,11 +260,6 @@ fn bench_sim_tile_path_64x64(c: &mut Criterion) {
     if engine_selected(Engine::Skip) {
         group.bench_function("tile_path_incremental", |b| {
             b.iter(|| black_box(sim.run(&SsspKernel::new(0)).unwrap().cycles))
-        });
-    }
-    if engine_selected(Engine::Ticked) {
-        group.bench_function("tile_path_ticked", |b| {
-            b.iter(|| black_box(sim.run_ticked(&SsspKernel::new(0)).unwrap().cycles))
         });
     }
     if engine_selected(Engine::Reference) {
@@ -354,22 +306,13 @@ fn bench_sim_calendar_64x64(c: &mut Criterion) {
     group.finish();
 }
 
-/// The ISSUE-6 acceptance case: the parallel engine at 4 workers must
-/// sustain at least 2x the end-to-end cycles/sec of the best
-/// single-threaded engine on dense 128x128 SSSP (RMAT scale 16, degree 8 —
-/// the same ~4 vertices/tile density as the 64x64 dense pair, scaled to
-/// 16,384 tiles so each cycle's tile phase is wide enough to amortise the
-/// per-cycle barrier), and at 1 worker must stay within 10% of the skip
-/// engine (the pool is bypassed entirely there, so the residue is the
-/// calendar network walk plus the intent-replay pass).  All rungs model
-/// the identical schedule (the five-engine equivalence square pins that),
-/// so per-iteration time is inversely proportional to cycles/sec.  Note:
-/// measuring the 4-worker rung needs a machine where
-/// `std::thread::available_parallelism()` >= 4 — on a single-core
-/// container the parallel rungs still run (and stay bit-identical) but
-/// the speedup cannot manifest.  `--engine=parallel:N` overrides the
-/// worker count of the multi-worker rung.
-fn bench_sim_parallel_128x128(c: &mut Criterion) {
+/// Dense 128x128 SSSP (RMAT scale 16, degree 8 — the same ~4
+/// vertices/tile density as the 64x64 dense pair, scaled to 16,384 tiles):
+/// the calendar engine against the skip engine where the network walk is
+/// widest.  Both rungs model the identical schedule (the equivalence square
+/// pins that), so per-iteration time is inversely proportional to
+/// cycles/sec.
+fn bench_sim_dense_128x128(c: &mut Criterion) {
     let bench_mode = std::env::args().any(|a| a == "--bench");
     // The 128x128 setup (a scale-16 graph feeding a 16,384-tile simulator)
     // is heavy enough that a bench-mode name filter excluding this whole
@@ -381,12 +324,9 @@ fn bench_sim_parallel_128x128(c: &mut Criterion) {
             .skip(1)
             .find(|a| a != "--bench" && !a.starts_with('-'));
         if let Some(filter) = filter {
-            let multi = flag_workers().unwrap_or(4);
             let rungs = [
-                format!("sim_128x128_sssp_dense/engine_parallel_{multi}w"),
-                "sim_128x128_sssp_dense/engine_parallel_1w".to_string(),
-                "sim_128x128_sssp_dense/engine_calendar".to_string(),
-                "sim_128x128_sssp_dense/engine_skip".to_string(),
+                "sim_128x128_sssp_dense/engine_calendar",
+                "sim_128x128_sssp_dense/engine_skip",
             ];
             if !rungs.iter().any(|name| name.contains(&filter)) {
                 return;
@@ -402,23 +342,6 @@ fn bench_sim_parallel_128x128(c: &mut Criterion) {
     let sim = Simulation::new(config, &graph).unwrap();
     let mut group = c.benchmark_group("sim_128x128_sssp_dense");
     group.sample_size(3);
-    if engine_selected(Engine::Parallel { workers: 0 }) {
-        let multi = flag_workers().unwrap_or(4);
-        for workers in [multi, 1] {
-            group.bench_function(format!("engine_parallel_{workers}w"), |b| {
-                b.iter(|| {
-                    black_box(
-                        sim.run_with_engine(&SsspKernel::new(0), Engine::Parallel { workers })
-                            .unwrap()
-                            .cycles,
-                    )
-                })
-            });
-            if multi == 1 {
-                break;
-            }
-        }
-    }
     for engine in [Engine::Calendar, Engine::Skip] {
         if !engine_selected(engine) {
             continue;
@@ -448,6 +371,6 @@ criterion_group!(
     bench_noc_calendar_walk,
     bench_sim_tile_path_64x64,
     bench_sim_calendar_64x64,
-    bench_sim_parallel_128x128
+    bench_sim_dense_128x128
 );
 criterion_main!(benches);

@@ -25,10 +25,14 @@ use std::collections::BTreeMap;
 fn grid_side() -> usize {
     // The paper uses 16x16 = 256 cores to match Tesseract; reduced-scale
     // runs default to 8x8 so the whole matrix stays fast on one machine.
-    std::env::var("DALOREX_FIG5_SIDE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| if datasets::scale_shift() <= 4 { 16 } else { 8 })
+    // A garbage value exits 2 rather than silently running the default.
+    datasets::env_int_or_exit("DALOREX_FIG5_SIDE", 1).unwrap_or_else(|| {
+        if datasets::scale_shift() <= 4 {
+            16
+        } else {
+            8
+        }
+    })
 }
 
 fn main() {

@@ -13,7 +13,7 @@
 //! bandwidth (messages drained/injected per tile per cycle; default 1, the
 //! paper's single local router port).  The drain budget and the NoC's
 //! injection-rejection count are emitted into the JSON report.
-//! `--engine <reference|ticked|skip|calendar>` selects the cycle engine —
+//! `--engine <reference|skip|calendar>` selects the cycle engine —
 //! the tables are engine-independent, so run the sweep twice with
 //! different engines and compare the stderr wall-clock lines to A/B them.
 //!

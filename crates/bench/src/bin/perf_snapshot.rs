@@ -12,7 +12,7 @@
 //! Each row runs one (engine, workload) cell `REPS` times and reports the
 //! best wall-clock (least-noise) repetition; `value` in the JSON is
 //! modelled cycles per wall-clock second.  The modelled cycle counts are
-//! engine-independent (the five-engine equivalence square pins that), so
+//! engine-independent (the three-engine equivalence square pins that), so
 //! cycles/sec comparisons across engines are exact throughput ratios —
 //! and the binary *asserts* the equality per cell: any engine disagreeing
 //! on the modelled cycle count aborts the snapshot, so a stale
@@ -25,33 +25,22 @@
 //! would need, the second is what the simulator itself costs — the pair
 //! catches host-footprint regressions that the modeled numbers cannot see.
 //!
-//! Two workloads run by default: a light 32x32 SSSP (every engine,
+//! Two workloads run by default: a light 32x32 SSSP (all three engines,
 //! including the reference oracle) and the dense 64x64 SSSP middle (the
-//! event-path engines only — the reference scan takes minutes there and
-//! its ratio is already covered by the light cell).  `--full` adds the
+//! `skip` and `calendar` engines only — the reference takes minutes there
+//! and its ratio is already covered by the light cell).  `--full` adds the
 //! 128x128 dense grid from the `sim_128x128_sssp_dense` microbench pair.
 //!
-//! After the engine matrix comes the *calendar-walk rung*: the due-only
-//! calendar walk vs the preserved pre-change full walk on the dense
-//! 128x128 convergecast wave (`--full` adds 256x256) — identical cycles
-//! and identical NoC statistics asserted in-binary, the wall-clock ratio
-//! emitted as the `calendar-walk-speedup` row (floor 1.3x on 128x128+,
-//! recorded rather than asserted).
-//!
 //! The snapshot ends with the *zero-fault-overhead rung*: the light cell
-//! rerun under an armed-but-never-firing fault plan (windows parked far
-//! beyond the run's horizon) against the empty-plan hot path.  The two
-//! must model the identical cycle count — armed-idle plans are
-//! schedule-invisible, asserted here where the numbers are published —
-//! and the wall-clock ratio is emitted as the `fault-overhead` row
-//! (target <= 1.02; a ratio above 1.25 aborts the snapshot).
-//!
-//! The parallel rungs' speedup depends on the host:
-//! `std::thread::available_parallelism()` is printed on stderr, and on a
-//! single-core machine `parallel:4` is expected to *lose* to skip (four
-//! sharded tile phases run back-to-back on one core, plus the replay
-//! pass) — the bit-identical schedule is the point, the speedup needs
-//! cores.
+//! under an armed-but-never-firing fault plan (windows parked far beyond
+//! the run's horizon) against the empty-plan hot path.  The two must model
+//! the identical cycle count — armed-idle plans are schedule-invisible,
+//! asserted here where the numbers are published.  The two plans are
+//! timed in interleaved pairs (ABBA order, [`FAULT_PAIRS`] pairs), and
+//! the median of the per-pair wall-clock ratios is emitted as the
+//! `fault-overhead` row (target <= 1.02; a median above 1.25 aborts the
+//! snapshot).  Pairing and the median keep host drift, which moves both
+//! halves of a pair alike, out of the ratio.
 use dalorex_bench::cli::FigureCli;
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
 use dalorex_graph::generators::rmat::RmatConfig;
@@ -65,12 +54,10 @@ use std::time::Instant;
 const REPS: usize = 2;
 
 /// Engines timed on every workload (event-path engines).
-const EVENT_ENGINES: [Engine; 4] = [
-    Engine::Skip,
-    Engine::Calendar,
-    Engine::Parallel { workers: 1 },
-    Engine::Parallel { workers: 4 },
-];
+const EVENT_ENGINES: [Engine; 2] = [Engine::Skip, Engine::Calendar];
+
+/// Interleaved (empty, armed) pairs the fault-overhead rung times.
+const FAULT_PAIRS: usize = 8;
 
 struct Cell {
     dataset: String,
@@ -94,8 +81,6 @@ fn peak_rss_bytes() -> Option<usize> {
 fn main() {
     let cli = FigureCli::parse();
     let full = std::env::args().any(|a| a == "--full");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!("host parallelism: {cores} (parallel-engine speedup needs >= its worker count)");
 
     let mut cells = vec![
         Cell {
@@ -103,7 +88,6 @@ fn main() {
             side: 32,
             graph: RmatConfig::new(12, 8).seed(11).build().unwrap(),
             engines: std::iter::once(Engine::Reference)
-                .chain(std::iter::once(Engine::Ticked))
                 .chain(EVENT_ENGINES)
                 .collect(),
         },
@@ -204,112 +188,14 @@ fn main() {
         }
     }
 
-    // The ISSUE 10 A/B: due-only calendar walk vs the preserved full-walk
-    // baseline, in-binary, on the dense convergecast wave where the walk
-    // dominates.  128x128 is the acceptance regime (floor 1.3x); `--full`
-    // adds the 256x256 rung, where the walk is the bulk of the cycle.
-    due_only_walk_rung(&mut measurements, 128);
-    if full {
-        due_only_walk_rung(&mut measurements, 256);
-    }
-
     fault_overhead_rung(&mut measurements);
 
     table.print(
-        &format!("Engine throughput snapshot (modelled cycles per wall-clock second, host parallelism {cores})"),
+        "Engine throughput snapshot (modelled cycles per wall-clock second)",
         cli.csv,
     );
     cli.write_json_if_requested(&measurements);
     cli.report_wall_clock();
-}
-
-/// The due-only walk A/B rung (ISSUE 10): the due-only calendar walk
-/// (`RouterScheduler::Calendar`) against the preserved pre-change full
-/// calendar walk (`RouterScheduler::CalendarScan`), same binary, same
-/// traffic — the shared dense convergecast wave
-/// ([`dalorex_bench::waves::convergecast_wave`], the exact wave the
-/// `sim_<side>_wave_calendar` microbench pairs time).  Both must model the
-/// identical cycle count *and* identical NoC statistics — the walk is a
-/// simulator optimization, not a schedule change — and the wall-clock
-/// ratio (full-walk time / due-only time) is emitted as the
-/// `calendar-walk-speedup` row.  The acceptance floor for the dense
-/// 128x128-and-up regime is 1.3x (measured ~1.5x at 128x128 and ~1.9x at
-/// 256x256 in this container); the snapshot records the ratio rather than
-/// asserting it so a noisy CI host cannot turn a perf target into a flake
-/// (the BENCH series is where the number is reviewed).
-fn due_only_walk_rung(measurements: &mut Vec<Measurement>, side: usize) {
-    use dalorex_bench::waves::{convergecast_net, convergecast_wave};
-    use dalorex_noc::RouterScheduler;
-
-    // One 256x256 wave runs ~1 minute per scheduler even in release, so
-    // the big rung takes a single repetition.
-    let reps = if side >= 256 { 1 } else { REPS };
-    let time = |scheduler: RouterScheduler| {
-        let mut best = f64::INFINITY;
-        let mut cycles = 0;
-        let mut stats = None;
-        for _ in 0..reps {
-            let mut net = convergecast_net(side, scheduler);
-            let started = Instant::now();
-            cycles = convergecast_wave(&mut net, side);
-            best = best.min(started.elapsed().as_secs_f64());
-            stats = Some(net.stats().clone());
-        }
-        (cycles, best, stats.unwrap())
-    };
-    let (full_cycles, full_best, full_stats) = time(RouterScheduler::CalendarScan);
-    let (due_cycles, due_best, due_stats) = time(RouterScheduler::Calendar);
-    assert_eq!(
-        due_cycles, full_cycles,
-        "{side}x{side}: the due-only walk modelled {due_cycles} cycles but the full-walk \
-         baseline modelled {full_cycles} — the walk changed the schedule; fix the \
-         equivalence break before snapshotting"
-    );
-    // NocStats equality deliberately ignores the walk counters, so this is
-    // the full forwarding/delivery/energy ledger agreeing bit-for-bit.
-    assert_eq!(
-        due_stats, full_stats,
-        "{side}x{side}: the due-only walk changed the modelled NoC statistics"
-    );
-    let speedup = full_best / due_best;
-    eprintln!(
-        "due-only calendar walk ({side}x{side} convergecast): {speedup:.2}x cycles/sec \
-         over the full-walk baseline (floor 1.3x on 128x128+)"
-    );
-    let tiles = side * side;
-    for (label, best, stats) in [
-        ("full-walk", full_best, &full_stats),
-        ("due-only", due_best, &due_stats),
-    ] {
-        measurements.push(Measurement {
-            experiment: "calendar-walk".to_string(),
-            workload: "convergecast-wave".to_string(),
-            dataset: "synthetic".to_string(),
-            configuration: format!("{tiles} tiles, {label}"),
-            cycles: full_cycles,
-            energy_j: 0.0,
-            value: full_cycles as f64 / best,
-            endpoint_drains: 1,
-            rejected_injections: 0,
-            memory: None,
-            peak_rss_bytes: peak_rss_bytes(),
-            walk: Some(WalkColumns::from_stats(stats)),
-        });
-    }
-    measurements.push(Measurement {
-        experiment: "calendar-walk-speedup".to_string(),
-        workload: "convergecast-wave".to_string(),
-        dataset: "synthetic".to_string(),
-        configuration: format!("{tiles} tiles, due-only over full-walk"),
-        cycles: full_cycles,
-        energy_j: 0.0,
-        value: speedup,
-        endpoint_drains: 1,
-        rejected_injections: 0,
-        memory: None,
-        peak_rss_bytes: peak_rss_bytes(),
-        walk: None,
-    });
 }
 
 /// The zero-fault-overhead rung: the light cell under an armed-but-idle
@@ -319,8 +205,13 @@ fn due_only_walk_rung(measurements: &mut Vec<Measurement>, side: usize) {
 /// fault-state checks cost at most 25% wall-clock (the target is 2%; the
 /// hard cap only exists to survive noisy CI hosts without letting a real
 /// regression through).
+///
+/// The plans are timed in [`FAULT_PAIRS`] interleaved pairs, the order
+/// alternating ABBA so neither plan always runs first, and the gate reads
+/// the median of the per-pair ratios.  Both halves of a pair run seconds
+/// apart, so host drift mostly cancels inside the pair, and the median
+/// discards the pairs a burst of host load lands on.
 fn fault_overhead_rung(measurements: &mut Vec<Measurement>) {
-    const RUNG_REPS: usize = 3;
     let graph = RmatConfig::new(12, 8).seed(11).build().unwrap();
     let armed: FaultPlan = "link:tile=5,start=4000000000,end=4000000100;\
                             stall:tile=9,start=4000000000,end=4000000100;\
@@ -328,41 +219,56 @@ fn fault_overhead_rung(measurements: &mut Vec<Measurement>) {
                             throttle:tile=7,budget=1,start=4000000000,end=4000000100"
         .parse()
         .unwrap();
-    let time = |plan: FaultPlan| {
+    let sim = |plan: FaultPlan| {
         let config = SimConfigBuilder::new(GridConfig::square(32))
             .scratchpad_bytes(1 << 20)
             .faults(plan)
             .build()
             .unwrap();
-        let sim = Simulation::new(config, &graph).unwrap();
-        let mut best = f64::INFINITY;
-        let mut cycles = 0;
-        for _ in 0..RUNG_REPS {
-            let started = Instant::now();
-            let outcome = sim
-                .run_with_engine(&SsspKernel::new(0), Engine::Skip)
-                .unwrap();
-            best = best.min(started.elapsed().as_secs_f64());
-            cycles = outcome.cycles;
-        }
-        (cycles, best)
+        Simulation::new(config, &graph).unwrap()
     };
-    let (empty_cycles, empty_best) = time(FaultPlan::empty());
-    let (armed_cycles, armed_best) = time(armed);
-    assert_eq!(
-        armed_cycles, empty_cycles,
-        "an armed-but-idle fault plan moved the schedule ({armed_cycles} vs {empty_cycles} \
-         cycles) — armed-idle plans must be schedule-invisible"
-    );
-    let ratio = armed_best / empty_best;
+    let sims = [sim(FaultPlan::empty()), sim(armed)];
+    let time = |sim: &Simulation| {
+        let started = Instant::now();
+        let outcome = sim
+            .run_with_engine(&SsspKernel::new(0), Engine::Skip)
+            .unwrap();
+        (outcome.cycles, started.elapsed().as_secs_f64())
+    };
+    let mut ratios = Vec::with_capacity(FAULT_PAIRS);
+    let mut empty_cycles = 0;
+    for pair in 0..FAULT_PAIRS {
+        // ABBA: even pairs run the empty plan first, odd pairs the armed.
+        let (empty, armed) = if pair % 2 == 0 {
+            let empty = time(&sims[0]);
+            (empty, time(&sims[1]))
+        } else {
+            let armed = time(&sims[1]);
+            (time(&sims[0]), armed)
+        };
+        assert_eq!(
+            armed.0, empty.0,
+            "an armed-but-idle fault plan moved the schedule ({} vs {} cycles) — \
+             armed-idle plans must be schedule-invisible",
+            armed.0, empty.0
+        );
+        empty_cycles = empty.0;
+        ratios.push(armed.1 / empty.1);
+    }
+    // FAULT_PAIRS is even (whole ABBA blocks): the median is the mean of
+    // the two middle ratios.
+    ratios.sort_by(f64::total_cmp);
+    let ratio = (ratios[FAULT_PAIRS / 2 - 1] + ratios[FAULT_PAIRS / 2]) / 2.0;
     eprintln!(
-        "zero-fault overhead (armed-idle / empty plan, skip engine): {ratio:.3} \
-         (target <= 1.02, hard cap 1.25)"
+        "zero-fault overhead (armed-idle / empty plan, skip engine): median {ratio:.3} over \
+         {FAULT_PAIRS} interleaved pairs, range {:.3}-{:.3} (target <= 1.02, hard cap 1.25)",
+        ratios[0],
+        ratios[FAULT_PAIRS - 1]
     );
     assert!(
         ratio <= 1.25,
-        "armed-idle fault checks cost {ratio:.3}x wall-clock on the empty-plan hot path — \
-         fix the fast path before snapshotting"
+        "armed-idle fault checks cost a median {ratio:.3}x wall-clock on the empty-plan hot \
+         path — fix the fast path before snapshotting"
     );
     measurements.push(Measurement {
         experiment: "fault-overhead".to_string(),

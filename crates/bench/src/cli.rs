@@ -10,9 +10,8 @@
 //!   `DALOREX_MAX_SIDE`).
 //! * `--drains <a,b,...>` — endpoint-bandwidth sweep (messages per tile
 //!   per cycle).
-//! * `--engine <reference|ticked|skip|calendar|parallel[:N]>` — the cycle
-//!   engine to drive every run with (`parallel:N` pins the worker-pool
-//!   size; bare `parallel` auto-detects it).  All engines model the
+//! * `--engine <reference|skip|calendar>` — the cycle engine to drive
+//!   every run with.  All engines model the
 //!   identical schedule, so the printed figures do not change; the flag
 //!   exists for A/B *timing* of the big sweeps (run the same figure twice
 //!   with different engines and compare the wall-clock line each binary
@@ -27,7 +26,7 @@
 //!   (`"stall:tile=3,start=50,end=400;random:seed=7,count=4,horizon=2000"`).
 //!   The `DALOREX_FAULTS` environment variable supplies a default exactly
 //!   like `DALOREX_ENGINE` does for `--engine`, and the flag wins.  All
-//!   five engines apply a plan bit-identically, so `--engine` A/B timing
+//!   three engines apply a plan bit-identically, so `--engine` A/B timing
 //!   stays valid under faults.
 //! * `--verify <off|warn|deny>` — how the static task-graph verifier
 //!   ([`dalorex_sim::verify`]) treats its findings when each run is built:
@@ -242,7 +241,7 @@ impl FigureCli {
 /// The one `--engine`-without-a-value diagnostic (missing value and empty
 /// `--engine=` share it).
 fn engine_value_missing() -> String {
-    "--engine requires a value (reference, ticked, skip, calendar or parallel[:N])".to_string()
+    "--engine requires a value (reference, skip or calendar)".to_string()
 }
 
 /// The one `--verify`-without-a-value diagnostic.
@@ -398,8 +397,8 @@ mod tests {
         assert_eq!(cli.engine, Engine::Calendar);
         assert_eq!(cli.drains(), vec![1, 2, 4]);
 
-        let cli = FigureCli::parse_from(&args(&["--engine=parallel:3"]), None, None, None).unwrap();
-        assert_eq!(cli.engine, Engine::Parallel { workers: 3 });
+        let cli = FigureCli::parse_from(&args(&["--engine=reference"]), None, None, None).unwrap();
+        assert_eq!(cli.engine, Engine::Reference);
     }
 
     #[test]
@@ -423,17 +422,46 @@ mod tests {
     fn unknown_engine_is_fatal() {
         let err = FigureCli::parse_from(&args(&["--engine", "warp"]), None, None, None).unwrap_err();
         assert!(err.contains("warp"), "diagnostic names the bad value: {err}");
-        let err = FigureCli::parse_from(&args(&["--engine", "parallel:zero"]), None, None, None).unwrap_err();
-        assert!(err.contains("zero"), "diagnostic names the bad count: {err}");
+    }
+
+    #[test]
+    fn removed_engines_are_fatal_and_name_the_remaining_three() {
+        let remaining = |err: &str| {
+            ["reference", "skip", "calendar"]
+                .iter()
+                .all(|e| err.contains(e))
+        };
+        for removed in ["ticked", "parallel:2", "parallel"] {
+            for case in [
+                args(&["--engine", removed]),
+                args(&[&format!("--engine={removed}")]),
+            ] {
+                let err = FigureCli::parse_from(&case, None, None, None).unwrap_err();
+                assert!(
+                    err.contains(removed) && remaining(&err),
+                    "case {case:?}: {err}"
+                );
+            }
+            let err = FigureCli::parse_from(&[], Some(removed), None, None).unwrap_err();
+            assert!(
+                err.starts_with("DALOREX_ENGINE:") && remaining(&err),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn env_engine_is_the_default_and_the_flag_wins() {
         let cli = FigureCli::parse_from(&[], Some("calendar"), None, None).unwrap();
         assert_eq!(cli.engine, Engine::Calendar);
-        let cli =
-            FigureCli::parse_from(&args(&["--engine", "ticked"]), Some("calendar"), None, None).unwrap();
-        assert_eq!(cli.engine, Engine::Ticked);
+        let cli = FigureCli::parse_from(
+            &args(&["--engine", "reference"]),
+            Some("calendar"),
+            None,
+            None,
+        )
+        .unwrap();
+        assert_eq!(cli.engine, Engine::Reference);
         // A broken env default must not silently fall back — unless the
         // flag overrides it, in which case the env value is never parsed.
         let err = FigureCli::parse_from(&[], Some("warp"), None, None).unwrap_err();

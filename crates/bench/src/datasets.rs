@@ -10,20 +10,53 @@ pub const DEFAULT_SCALE_SHIFT: u32 = 10;
 
 /// Reads the reproduction scale shift from `DALOREX_SCALE_SHIFT`
 /// (default [`DEFAULT_SCALE_SHIFT`]; `0` reproduces the paper's sizes).
+/// Exits with code 2 on a value that is not a non-negative integer.
 pub fn scale_shift() -> u32 {
-    std::env::var("DALOREX_SCALE_SHIFT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SCALE_SHIFT)
+    env_int_or_exit("DALOREX_SCALE_SHIFT", 0).unwrap_or(DEFAULT_SCALE_SHIFT)
 }
 
 /// Reads the largest grid side allowed for sweeps from `DALOREX_MAX_SIDE`
 /// (default 16, i.e. up to 256 tiles; the paper sweeps up to 128).
+/// Exits with code 2 on a value that is not a positive integer.
 pub fn max_grid_side() -> usize {
-    std::env::var("DALOREX_MAX_SIDE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
+    env_int_or_exit("DALOREX_MAX_SIDE", 1).unwrap_or(16)
+}
+
+/// Reads the integer environment variable `name`: `None` when it is
+/// unset, the value when it parses to at least `min`.  Anything else
+/// prints one diagnostic and exits with code 2, the figure binaries' rule
+/// for inputs that pick what gets measured: a typo must not silently run
+/// the default scale.
+pub fn env_int_or_exit<T>(name: &str, min: T) -> Option<T>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let value = match std::env::var(name) {
+        Ok(value) => Some(value),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(raw)) => Some(raw.to_string_lossy().into_owned()),
+    };
+    parse_env_int(name, value.as_deref(), min).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    })
+}
+
+/// The testable core of [`env_int_or_exit`]: parses `value` (the
+/// variable's contents, `None` when unset) or returns the diagnostic.
+fn parse_env_int<T>(name: &str, value: Option<&str>, min: T) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let Some(value) = value else {
+        return Ok(None);
+    };
+    match value.parse::<T>() {
+        Ok(parsed) if parsed >= min => Ok(Some(parsed)),
+        _ => Err(format!(
+            "{name}: invalid value {value:?} (want an integer >= {min})"
+        )),
+    }
 }
 
 /// The dataset catalog at the configured reproduction scale.
@@ -65,6 +98,36 @@ mod tests {
         // The test environment does not set the variable.
         assert!(scale_shift() >= 1 || std::env::var("DALOREX_SCALE_SHIFT").is_ok());
         assert!(max_grid_side() >= 2);
+    }
+
+    #[test]
+    fn env_ints_parse_or_name_the_bad_value() {
+        assert_eq!(
+            parse_env_int::<u32>("DALOREX_SCALE_SHIFT", None, 0),
+            Ok(None)
+        );
+        assert_eq!(
+            parse_env_int::<u32>("DALOREX_SCALE_SHIFT", Some("0"), 0),
+            Ok(Some(0))
+        );
+        assert_eq!(
+            parse_env_int::<usize>("DALOREX_MAX_SIDE", Some("8"), 1),
+            Ok(Some(8))
+        );
+        for (name, value, min) in [
+            ("DALOREX_SCALE_SHIFT", "thirteen", 0),
+            ("DALOREX_SCALE_SHIFT", "", 0),
+            ("DALOREX_SCALE_SHIFT", "-1", 0),
+            ("DALOREX_MAX_SIDE", "0", 1),
+            ("DALOREX_MAX_SIDE", "8x8", 1),
+            ("DALOREX_FIG5_SIDE", " 4", 1),
+        ] {
+            let err = parse_env_int::<usize>(name, Some(value), min).unwrap_err();
+            assert!(
+                err.starts_with(name) && err.contains(&format!("{value:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

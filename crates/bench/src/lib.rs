@@ -24,9 +24,9 @@
 //! invocation) and `--drains <a,b,...>` (sweep the endpoint bandwidth,
 //! messages per tile per cycle); the drain budget and the NoC's
 //! injection-rejection count are emitted into the JSON report.  Every
-//! figure binary takes `--engine <reference|ticked|skip|calendar|parallel[:N]>`
-//! to select the cycle engine (with `DALOREX_ENGINE` as the environment
-//! default when the flag is absent) — the tables are engine-independent
+//! figure binary takes `--engine <reference|skip|calendar>` to select the
+//! cycle engine (with `DALOREX_ENGINE` as the environment default when
+//! the flag is absent) — the tables are engine-independent
 //! (the schedules are bit-identical), so the flag exists for A/B
 //! wall-clock timing via the stderr line each binary prints.
 //! `docs/FIGURES.md` maps every binary to its paper figure, flags and

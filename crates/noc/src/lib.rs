@@ -71,7 +71,6 @@ mod error;
 pub use error::NocError;
 pub use fault::{FaultImpact, NocFaultEvent, NocFaults};
 pub use message::{Message, MAX_FLITS};
-pub use network::shard::{EndpointShard, ShardBuffers, TileEndpoint};
 pub use network::{Network, NocMemoryReport};
 pub use stats::NocStats;
 pub use topology::{GridShape, Topology};
@@ -87,10 +86,10 @@ pub type ChannelId = usize;
 
 /// How [`Network::cycle`] finds the routers that can act each cycle.
 ///
-/// All schedulers produce bit-identical forwarding schedules and
+/// Both schedulers produce bit-identical forwarding schedules and
 /// statistics; they differ only in simulator cost.  The scan scheduler
-/// visits every active router's ports every cycle; the calendar schedulers
-/// keep a per-router `next_possible` due stamp and a bucketed calendar of
+/// visits every active router's ports every cycle; the calendar scheduler
+/// keeps a per-router `next_possible` due stamp and a bucketed calendar of
 /// due routers, so a cycle only port-scans the routers that could actually
 /// commit — the win on dense regimes where deliveries land nearly every
 /// cycle and whole-network skipping cannot help.
@@ -106,12 +105,6 @@ pub enum RouterScheduler {
     /// order without touching non-due routers.  O(due) per cycle instead
     /// of O(active).
     Calendar,
-    /// The pre-due-only calendar walk: the same due stamps and calendar
-    /// buckets, but every non-quiet cycle still walks the entire active
-    /// list reading a dense stamp per router.  Kept as the in-binary A/B
-    /// baseline for the due-only microbenches and as a schedule oracle
-    /// (`Simulation::run_calendar_scan` in `dalorex-sim`).
-    CalendarScan,
 }
 
 /// Configuration of a network instance.

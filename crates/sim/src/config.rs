@@ -64,25 +64,22 @@ pub enum SchedulingPolicy {
 
 /// Which cycle engine drives a simulation run.
 ///
-/// All five engines produce **bit-identical** modelled schedules, outputs
+/// All three engines produce **bit-identical** modelled schedules, outputs
 /// and statistics — the cross-crate equivalence suite pins the full square
 /// — and differ only in simulator wall-clock.  Select one via
 /// [`SimConfigBuilder::engine`] (or per run with
 /// `Simulation::run_with_engine`); the figure binaries expose it as
-/// `--engine <reference|ticked|skip|calendar|parallel[:N]>` for A/B
-/// timing.
+/// `--engine <reference|skip|calendar>` for A/B timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The preserved pre-overhaul tile path (full queue scans, per-pop
     /// allocations) ticking every cycle: the slowest engine, kept as the
     /// schedule-equivalence oracle.
     Reference,
-    /// The allocation-free tile path, one `Network::cycle` per simulated
-    /// cycle (the PR 3 engine): the tick-every-cycle baseline.
-    Ticked,
-    /// `Ticked` plus whole-chip skip-to-next-event jumping (the PR 4
-    /// engine): wins on sparse and fabric-bound regimes where provably
-    /// quiet windows are long.  The default.
+    /// The allocation-free tile path with whole-chip skip-to-next-event
+    /// jumping: wins on sparse and fabric-bound regimes where provably
+    /// quiet windows are long, and matches ticking every cycle elsewhere.
+    /// The default.
     #[default]
     Skip,
     /// `Skip` with the NoC's calendar router scheduler: per-router
@@ -91,41 +88,19 @@ pub enum Engine {
     /// the win on dense regimes where deliveries land nearly every cycle
     /// and whole-chip skipping cannot help.
     Calendar,
-    /// `Calendar` with the per-cycle tile phase fanned out over a
-    /// persistent worker pool: tiles and their routers are sharded into
-    /// contiguous ranges, each worker advances its shard's endpoints for
-    /// the cycle, and the cross-shard side effects every endpoint
-    /// operation would have had on shared network state are recorded and
-    /// replayed in exact arbitration order at the epoch barrier — so the
-    /// schedule stays bit-identical to the single-threaded engines.
-    /// `workers == 0` means "one worker per available core".
-    Parallel {
-        /// Worker threads in the pool (0 = auto-detect from the host).
-        workers: usize,
-    },
 }
 
 impl Engine {
     /// Every engine, in oracle-to-fastest order (the order the equivalence
-    /// square iterates).  The parallel entry uses auto worker detection;
-    /// explicit worker counts are additional configurations of the same
-    /// engine.
-    pub const ALL: [Engine; 5] = [
-        Engine::Reference,
-        Engine::Ticked,
-        Engine::Skip,
-        Engine::Calendar,
-        Engine::Parallel { workers: 0 },
-    ];
+    /// square iterates).
+    pub const ALL: [Engine; 3] = [Engine::Reference, Engine::Skip, Engine::Calendar];
 
     /// The engine's command-line name (`--engine <name>`).
     pub fn name(self) -> &'static str {
         match self {
             Engine::Reference => "reference",
-            Engine::Ticked => "ticked",
             Engine::Skip => "skip",
             Engine::Calendar => "calendar",
-            Engine::Parallel { .. } => "parallel",
         }
     }
 }
@@ -134,39 +109,16 @@ impl std::str::FromStr for Engine {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reference" => Ok(Engine::Reference),
-            "ticked" | "tick" => Ok(Engine::Ticked),
-            "skip" => Ok(Engine::Skip),
-            "calendar" => Ok(Engine::Calendar),
-            "parallel" => Ok(Engine::Parallel { workers: 0 }),
-            other => {
-                if let Some(count) = other.strip_prefix("parallel:") {
-                    return match count.parse::<usize>() {
-                        Ok(workers) => Ok(Engine::Parallel { workers }),
-                        Err(_) => Err(format!(
-                            "invalid worker count {count:?} in engine {other:?} \
-                             (want parallel:<positive integer>)"
-                        )),
-                    };
-                }
-                Err(format!(
-                    "unknown engine {other:?} (want reference, ticked, skip, calendar \
-                     or parallel[:N])"
-                ))
-            }
-        }
+        Engine::ALL
+            .into_iter()
+            .find(|engine| engine.name() == s)
+            .ok_or_else(|| format!("unknown engine {s:?} (want reference, skip or calendar)"))
     }
 }
 
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Parallel { workers } if *workers > 0 => {
-                write!(f, "parallel:{workers}")
-            }
-            _ => f.write_str(self.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -391,7 +343,7 @@ impl SimConfigBuilder {
 
     /// Installs a deterministic fault schedule (default empty).  An empty
     /// plan is schedule-invisible; a non-empty plan degrades the run but
-    /// stays bit-identical across all five cycle engines.
+    /// stays bit-identical across all three cycle engines.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.config.faults = faults;
         self
@@ -529,8 +481,20 @@ mod tests {
             assert_eq!(engine.name().parse::<Engine>().unwrap(), engine);
             assert_eq!(engine.to_string(), engine.name());
         }
-        assert_eq!("tick".parse::<Engine>().unwrap(), Engine::Ticked);
-        assert!("warp".parse::<Engine>().is_err());
+        // Removed engines fail loudly, naming the three that remain.
+        for removed in [
+            "ticked",
+            "tick",
+            "parallel",
+            "parallel:2",
+            "calendar-scan",
+            "warp",
+        ] {
+            let err = removed.parse::<Engine>().unwrap_err();
+            for engine in Engine::ALL {
+                assert!(err.contains(engine.name()), "{err}");
+            }
+        }
     }
 
     #[test]

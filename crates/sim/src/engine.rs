@@ -56,13 +56,7 @@ use crate::tile::{distribute_graph, TileCsr, TileInit, TileState};
 use crate::tsu::Scheduler;
 use crate::area::{AreaConstants, AreaModel};
 use dalorex_graph::CsrGraph;
-use dalorex_noc::{Message, Network, NocConfig, RouterScheduler, TileEndpoint};
-
-// The parallel engine's worker pool.  The one `allow(unsafe_code)` island
-// in the crate: a type-erased per-cycle batch pointer handed to persistent
-// workers under a mutex (see `par.rs` for the safety argument).
-#[allow(unsafe_code)]
-mod par;
+use dalorex_noc::{Message, Network, NocConfig, RouterScheduler};
 
 /// Result of a completed simulation run.
 #[derive(Debug, Clone)]
@@ -92,7 +86,7 @@ pub struct SimOutcome {
     pub memory: MemoryReport,
     /// Per-event fault impact accounting (empty for an empty
     /// [`crate::fault::FaultPlan`]).  Derived entirely from schedule facts,
-    /// so it is bit-identical across the five-engine equivalence square.
+    /// so it is bit-identical across the three-engine equivalence square.
     pub fault: FaultReport,
 }
 
@@ -241,28 +235,6 @@ struct InjectPark {
     all_ready_parked: bool,
 }
 
-/// Everything an engine builds before entering its cycle loop: the kernel's
-/// declarations, the bootstrapped tiles, the network, and the dense
-/// engine-side tracking state.  Factored out of `run_with` so the parallel
-/// engine starts from the byte-identical initial state as the
-/// single-threaded engines (any drift here would break the five-engine
-/// equivalence square before the first cycle).
-struct EngineState {
-    tasks: Vec<TaskDecl>,
-    channels: Vec<ChannelDecl>,
-    arrays: Vec<crate::kernel::LocalArrayDecl>,
-    tiles: Vec<TileState>,
-    network: Network,
-    schedulers: Vec<Scheduler>,
-    barrier_mode: bool,
-    hot: Vec<HotTile>,
-    parks: Vec<InjectPark>,
-    active: Vec<bool>,
-    active_list: Vec<usize>,
-    active_scratch: Vec<usize>,
-    delivery_events: Vec<usize>,
-}
-
 /// A configured Dalorex simulation, ready to run kernels over one dataset.
 #[derive(Debug, Clone)]
 pub struct Simulation {
@@ -388,32 +360,6 @@ impl Simulation {
         self.run_with_engine(kernel, self.config.engine)
     }
 
-    /// Runs `kernel` under an explicitly selected cycle engine, overriding
-    /// the configured one — the single dispatch point every figure binary,
-    /// microbench and equivalence test goes through.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run`].
-    pub fn run_with_engine(
-        &self,
-        kernel: &dyn Kernel,
-        engine: Engine,
-    ) -> Result<SimOutcome, SimError> {
-        self.run_with(kernel, engine)
-    }
-
-    /// Runs `kernel` on the allocation-free tile path while ticking every
-    /// cycle — [`Engine::Ticked`], the PR 3 engine, kept as the
-    /// tick-every-cycle baseline the skip microbench measures against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run`].
-    pub fn run_ticked(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
-        self.run_with(kernel, Engine::Ticked)
-    }
-
     /// Runs `kernel` on the preserved pre-overhaul tile path —
     /// [`Engine::Reference`], the schedule-equivalence oracle, in the
     /// mould of `Network::cycle_reference`.
@@ -432,7 +378,7 @@ impl Simulation {
     ///
     /// Same as [`Simulation::run`].
     pub fn run_reference(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
-        self.run_with(kernel, Engine::Reference)
+        self.run_with_engine(kernel, Engine::Reference)
     }
 
     /// Runs the static task-graph verifier ([`crate::verify`]) over the
@@ -473,13 +419,29 @@ impl Simulation {
         Ok(())
     }
 
-    /// Validates the kernel's declarations and builds the initial
-    /// [`EngineState`] every engine starts its cycle loop from.
-    fn prepare(
+    /// Runs `kernel` under an explicitly selected cycle engine, overriding
+    /// the configured one — the single dispatch point every figure binary,
+    /// microbench and equivalence test goes through, and the one cycle
+    /// loop all three engines share.  [`Engine::Reference`] runs the
+    /// preserved tile path and ticks every cycle; [`Engine::Skip`] and
+    /// [`Engine::Calendar`] run the allocation-free tile path with
+    /// skip-to-next-event jumping and differ only in the network's router
+    /// scheduler.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Simulation::run`].
+    pub fn run_with_engine(
         &self,
         kernel: &dyn Kernel,
-        router_scheduler: RouterScheduler,
-    ) -> Result<EngineState, SimError> {
+        engine: Engine,
+    ) -> Result<SimOutcome, SimError> {
+        let reference = engine == Engine::Reference;
+        let router_scheduler = if engine == Engine::Calendar {
+            RouterScheduler::Calendar
+        } else {
+            RouterScheduler::Scan
+        };
         let tasks = kernel.tasks();
         let channels = kernel.channels();
         let arrays = kernel.arrays();
@@ -527,9 +489,9 @@ impl Simulation {
         if let Some(armed) = self.faults.as_deref() {
             noc_config = noc_config.with_faults(armed.noc_faults.clone());
         }
-        let network = Network::new(noc_config);
+        let mut network = Network::new(noc_config);
 
-        let schedulers: Vec<Scheduler> = (0..num_tiles)
+        let mut schedulers: Vec<Scheduler> = (0..num_tiles)
             .map(|_| Scheduler::new(self.config.scheduling))
             .collect();
 
@@ -537,77 +499,12 @@ impl Simulation {
         // Dense action snapshots for the fast path's no-op skip (see
         // `HotTile`); the reference path ignores them, preserving its
         // pre-overhaul cost profile.
-        let hot: Vec<HotTile> = tiles.iter().map(|t| HotTile::snapshot(t, false)).collect();
-        let parks: Vec<InjectPark> = vec![InjectPark::default(); num_tiles];
-        let active: Vec<bool> = tiles.iter().map(|t| !t.is_idle(0)).collect();
-        let active_list: Vec<usize> = (0..num_tiles).filter(|&t| active[t]).collect();
-
-        Ok(EngineState {
-            tasks,
-            channels,
-            arrays,
-            tiles,
-            network,
-            schedulers,
-            barrier_mode,
-            hot,
-            parks,
-            active,
-            active_list,
-            active_scratch: Vec::new(),
-            delivery_events: Vec::new(),
-        })
-    }
-
-    fn run_with(&self, kernel: &dyn Kernel, engine: Engine) -> Result<SimOutcome, SimError> {
-        let scheduler = if engine == Engine::Calendar {
-            RouterScheduler::Calendar
-        } else {
-            RouterScheduler::Scan
-        };
-        self.run_with_scheduler(kernel, engine, scheduler)
-    }
-
-    /// Runs the calendar engine over the *pre-due-only* full calendar walk
-    /// ([`RouterScheduler::CalendarScan`]): identical due stamps and
-    /// buckets, but every non-quiet cycle reads a dense stamp for the whole
-    /// active list.  This is the in-binary A/B baseline the due-only
-    /// microbenches measure against and the schedule oracle the equivalence
-    /// square pins the new walk to.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run`].
-    pub fn run_calendar_scan(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
-        self.run_with_scheduler(kernel, Engine::Calendar, RouterScheduler::CalendarScan)
-    }
-
-    fn run_with_scheduler(
-        &self,
-        kernel: &dyn Kernel,
-        engine: Engine,
-        scheduler: RouterScheduler,
-    ) -> Result<SimOutcome, SimError> {
-        if let Engine::Parallel { workers } = engine {
-            return self.run_parallel(kernel, workers);
-        }
-        let reference = engine == Engine::Reference;
-        let skip_engine = matches!(engine, Engine::Skip | Engine::Calendar);
-        let EngineState {
-            tasks,
-            channels,
-            arrays,
-            mut tiles,
-            mut network,
-            mut schedulers,
-            barrier_mode,
-            mut hot,
-            mut parks,
-            mut active,
-            mut active_list,
-            mut active_scratch,
-            mut delivery_events,
-        } = self.prepare(kernel, scheduler)?;
+        let mut hot: Vec<HotTile> = tiles.iter().map(|t| HotTile::snapshot(t, false)).collect();
+        let mut parks: Vec<InjectPark> = vec![InjectPark::default(); num_tiles];
+        let mut active: Vec<bool> = tiles.iter().map(|t| !t.is_idle(0)).collect();
+        let mut active_list: Vec<usize> = (0..num_tiles).filter(|&t| active[t]).collect();
+        let mut active_scratch: Vec<usize> = Vec::new();
+        let mut delivery_events: Vec<usize> = Vec::new();
 
         let mut cycle: u64 = 0;
         let mut epochs: u64 = 0;
@@ -737,9 +634,7 @@ impl Simulation {
                         active[t] = true;
                         active_list.push(t);
                     }
-                    if skip_engine {
-                        tile_event_min = tile_event_min.min(tile_next_event(&h, cycle));
-                    }
+                    tile_event_min = tile_event_min.min(tile_next_event(&h, cycle));
                     continue;
                 }
                 self.tile_cycle(
@@ -761,18 +656,15 @@ impl Simulation {
                     active[t] = true;
                     active_list.push(t);
                 }
-                if skip_engine {
-                    let ran_event = if leftover_deliveries
-                        || (hot[t].cq_ready && !parks[t].all_ready_parked)
-                    {
+                let ran_event =
+                    if leftover_deliveries || (hot[t].cq_ready && !parks[t].all_ready_parked) {
                         // Undrained deliveries or an unparked injectable
                         // message: the tile must act again next cycle.
                         cycle + 1
                     } else {
                         tile_next_event(&hot[t], cycle)
                     };
-                    tile_event_min = tile_event_min.min(ran_event);
-                }
+                tile_event_min = tile_event_min.min(ran_event);
             }
             active_scratch.clear();
 
@@ -815,8 +707,9 @@ impl Simulation {
             // busy-PU tiles timing out of the active set — both replayed
             // here in O(active tiles).  Tiles keep their list positions, so
             // the service order of acting tiles — and with it the schedule
-            // and every statistic — is exactly the ticked engines'.
-            if skip_engine && !(active_list.is_empty() && network.is_idle()) {
+            // and every statistic — is exactly the reference engine's.  The
+            // reference engine itself ticks every cycle.
+            if !(reference || (active_list.is_empty() && network.is_idle())) {
                 // The network bound is in network time (its counter lags the
                 // engine cycle by the accumulated epoch-broadcast offset);
                 // translate it before comparing with the tile events.
@@ -850,8 +743,8 @@ impl Simulation {
                         if h.cq_ready {
                             // Every inject-ready channel is parked (an
                             // unparked one would have forced an event now);
-                            // the ticked engines attempt and fail each once
-                            // per cycle.
+                            // the reference engine attempts and fails each
+                            // once per cycle.
                             let owed = span * u64::from(parks[t].ready_count);
                             if owed > 0 {
                                 network.count_injection_backpressure(t, owed);
@@ -897,10 +790,7 @@ impl Simulation {
     }
 
     /// Gathers statistics, output and the derived energy/area figures into
-    /// the final [`SimOutcome`] — shared by every engine (the parallel
-    /// engine reaches this point with all shard effects already merged back
-    /// into the one `Network` and the one tile vector, so nothing here is
-    /// engine-specific).
+    /// the final [`SimOutcome`]; nothing here is engine-specific.
     #[allow(clippy::too_many_arguments)]
     fn finish_outcome(
         &self,
@@ -1067,20 +957,15 @@ impl Simulation {
     /// [`Simulation::tile_cycle_reference`]; kernels whose declarations
     /// exceed the mask widths (more than 32 channels for the drain mask, 64
     /// for the inject mask) fall back to the reference loops.
-    ///
-    /// Generic over [`TileEndpoint`] so the same code drives both the whole
-    /// [`Network`] (single-threaded engines) and an
-    /// [`dalorex_noc::EndpointShard`] (parallel engine) — the generic is
-    /// what guarantees the parallel tile phase cannot diverge.
     #[allow(clippy::too_many_arguments)]
-    fn tile_cycle<N: TileEndpoint>(
+    fn tile_cycle(
         &self,
         kernel: &dyn Kernel,
         tasks: &[TaskDecl],
         channels: &[ChannelDecl],
         tile: &mut TileState,
         scheduler: &mut Scheduler,
-        network: &mut N,
+        network: &mut Network,
         park: &mut InjectPark,
         delivery_pending: bool,
         barrier_mode: bool,
@@ -1322,14 +1207,14 @@ impl Simulation {
     /// the counter-maintaining [`TileState`] methods, so they cannot drift
     /// in behaviour — only in cost.
     #[allow(clippy::too_many_arguments)]
-    fn tile_cycle_reference<N: TileEndpoint>(
+    fn tile_cycle_reference(
         &self,
         kernel: &dyn Kernel,
         tasks: &[TaskDecl],
         channels: &[ChannelDecl],
         tile: &mut TileState,
         scheduler: &mut Scheduler,
-        network: &mut N,
+        network: &mut Network,
         barrier_mode: bool,
         cycle: u64,
         total_dispatches: &mut u64,

@@ -20,7 +20,7 @@
 //! task still runs, and the run still quiesces — later.  Because every
 //! fault only blocks or lengthens work, the engine-side skip bounds remain
 //! valid lower bounds, and the schedule under a fault plan is bit-identical
-//! across all five cycle engines (pinned by the equivalence square in
+//! across all three cycle engines (pinned by the equivalence square in
 //! `tests/tile_path_equivalence.rs`).  An empty plan is schedule-invisible
 //! and costs one branch per hot-path decision.
 //!
@@ -266,7 +266,7 @@ impl RandomFaultSpec {
 }
 
 /// An explicit, serializable schedule of timed fault events, plus an
-/// optional seeded random clause.  The `SimConfig` knob all five cycle
+/// optional seeded random clause.  The `SimConfig` knob all three cycle
 /// engines apply bit-identically; an empty plan (the default) is
 /// schedule-invisible.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -498,7 +498,7 @@ pub fn parse_port(name: &str) -> Result<Port, String> {
 /// (`dispatches_slowed`, `extra_pu_cycles`, `throttled_messages`) are
 /// accumulated per *tile*, so multiple slowdown (or throttle) events
 /// sharing a tile report that tile's shared totals.  All counters derive
-/// from schedule facts, so they are bit-identical across the five engines.
+/// from schedule facts, so they are bit-identical across the three engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultImpactEntry {
     /// The resolved event this entry describes.

@@ -12,7 +12,7 @@
 //! The report lives on [`crate::SimOutcome`], not on [`crate::SimStats`]:
 //! the calendar line is engine bookkeeping that legitimately differs
 //! between engines, while stats are pinned bit-identical across the
-//! five-engine equivalence square.
+//! three-engine equivalence square.
 
 /// Modeled resident bytes, by subsystem, for one completed run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

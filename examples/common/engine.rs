@@ -2,8 +2,8 @@
 //! `#[path = "common/engine.rs"]`, not an example itself).
 //!
 //! Every example accepts `--engine <name>` / `--engine=<name>` with the
-//! same names as the figure binaries (`reference`, `ticked`, `skip`,
-//! `calendar`, `parallel[:N]`) and honours the `DALOREX_ENGINE`
+//! same names as the figure binaries (`reference`, `skip`, `calendar`)
+//! and honours the `DALOREX_ENGINE`
 //! environment variable as a default when the flag is absent — the flag
 //! wins when both are given.  All engines model the identical schedule,
 //! so an example's printed results never change with this knob; it exists
@@ -22,11 +22,11 @@ pub fn engine_arg() -> Engine {
         if arg == "--engine" {
             match args.next().filter(|v| !v.starts_with("--")) {
                 Some(value) => from_flag = Some(value),
-                None => abort("--engine requires a value"),
+                None => abort("--engine requires a value (reference, skip or calendar)"),
             }
         } else if let Some(value) = arg.strip_prefix("--engine=") {
             if value.is_empty() {
-                abort("--engine requires a value");
+                abort("--engine requires a value (reference, skip or calendar)");
             }
             from_flag = Some(value.to_string());
         }

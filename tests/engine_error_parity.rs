@@ -1,15 +1,15 @@
 //! Engine parity at the exact error boundaries.
 //!
-//! The skip-family engines (skip, calendar, parallel) clamp their jumps to
-//! the failure horizons — `max_cycles` and the watchdog deadline
+//! The skipping engines (skip, calendar) clamp their jumps to the failure
+//! horizons — `max_cycles` and the watchdog deadline
 //! `last_progress_cycle + watchdog_cycles + 1` — so that
 //! [`SimError::CycleLimitExceeded`] and [`SimError::Deadlock`] fire at the
-//! *identical* cycle as when ticking every cycle.  These tests pin that
-//! contract at the boundary itself: limits landing exactly on, one before
-//! and one after the interesting cycle, across all five engines, plus a
-//! property-style sweep of `max_cycles`/`watchdog_cycles` near the event
-//! horizon.  Any off-by-one in the clamp (or in the parallel engine's
-//! merged progress marker) shows up as one engine erroring a cycle early,
+//! *identical* cycle as the reference engine, which ticks every cycle.
+//! These tests pin that contract at the boundary itself: limits landing
+//! exactly on, one before and one after the interesting cycle, across all
+//! three engines, plus a property-style sweep of
+//! `max_cycles`/`watchdog_cycles` near the event horizon.  Any off-by-one
+//! in the clamp shows up as one engine erroring a cycle early,
 //! a cycle late, or with different queue/message counts in the payload.
 
 use dalorex::graph::generators::rmat::RmatConfig;
@@ -22,15 +22,6 @@ use dalorex::sim::kernel::{
 };
 use dalorex::sim::{ArraySpace, FaultEvent, FaultPlan, SimError, Simulation, VertexPlacement};
 
-/// All five engines plus explicitly sized parallel pools (2 workers, and 3
-/// so the shard boundaries do not divide the tile count evenly).
-fn engines() -> Vec<Engine> {
-    let mut engines = Engine::ALL.to_vec();
-    engines.push(Engine::Parallel { workers: 2 });
-    engines.push(Engine::Parallel { workers: 3 });
-    engines
-}
-
 /// Runs `kernel` under every engine and asserts the result is identical:
 /// either all succeed with the same cycle count and statistics, or all
 /// fail with the exact same [`SimError`] value (`SimError` is
@@ -39,7 +30,7 @@ fn engines() -> Vec<Engine> {
 /// invocations — not just the variant).
 fn assert_error_parity(sim: &Simulation, kernel: &dyn Kernel, label: &str) {
     let reference = sim.run_with_engine(kernel, Engine::Reference);
-    for engine in engines() {
+    for engine in Engine::ALL {
         let outcome = sim.run_with_engine(kernel, engine);
         match (&reference, &outcome) {
             (Ok(want), Ok(got)) => {

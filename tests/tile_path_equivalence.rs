@@ -1,17 +1,17 @@
-//! Schedule-equivalence tests for the engine square: all five cycle
-//! engines must be *indistinguishable*.
+//! Schedule-equivalence tests for the engine square: all three cycle
+//! engines, and with them both NoC router schedulers, must be
+//! *indistinguishable*.
 //!
 //! [`Engine::Skip`] drives the overhauled per-cycle tile path (ring-buffer
 //! queues, inline message payloads, O(1) idle tracking, incrementally
 //! maintained readiness masks, parked-injection elision) under the
 //! skip-to-next-event engine; [`Engine::Calendar`] adds the NoC's
 //! calendar router scheduler (per-router `next_possible` due stamps, a
-//! bucketed calendar of due routers, waiter lists for blocked heads);
-//! [`Engine::Parallel`] fans the calendar engine's tile phase out over a
-//! worker pool of endpoint shards whose cross-tile side effects are
-//! replayed in the frozen walk order; [`Engine::Ticked`] is the same tile
-//! path ticking every cycle; and [`Engine::Reference`] is the preserved
-//! pre-overhaul path.  The five must agree on everything — cycle counts,
+//! bucketed calendar of due routers, waiter lists for blocked heads,
+//! walked due-only); and [`Engine::Reference`] is the preserved
+//! pre-overhaul path ticking every cycle.  `reference` and `skip` run the
+//! scan router scheduler, `calendar` the calendar scheduler, so the square
+//! covers both walks.  The three must agree on everything — cycle counts,
 //! gathered outputs, every tile counter and every NoC statistic
 //! (including the per-tile injection rejections the parked-channel
 //! elision and the bulk skip-replay reconstruct instead of
@@ -33,23 +33,14 @@ use dalorex::sim::{FaultPlan, Simulation, VertexPlacement};
 fn assert_paths_identical(sim: &Simulation, workload: Workload, label: &str) -> u64 {
     let kernel = workload.kernel();
     let reference = sim.run_with_engine(kernel.as_ref(), Engine::Reference).unwrap();
-    // `Engine::ALL` carries `Parallel { workers: 0 }` (auto-detected pool
-    // size); also pin explicit pool sizes, including one that does not
-    // divide the tile count evenly, so shard-boundary bugs cannot hide
-    // behind a single-worker auto-detection on small CI machines.
-    let engines = Engine::ALL
-        .into_iter()
-        .chain([Engine::Parallel { workers: 2 }, Engine::Parallel { workers: 3 }]);
-    for engine in engines {
+    // `skip` differs from `reference` only in the tile path and the skip
+    // jumps (both on the scan router scheduler); `calendar` differs from
+    // `skip` only in the due-only router walk, so a divergence there
+    // localizes a bug to the walk itself.
+    for engine in Engine::ALL {
         let outcome = sim.run_with_engine(kernel.as_ref(), engine).unwrap();
         assert_outcomes_match(&outcome, &reference, &format!("{label}/{engine}"));
     }
-    // Both router schedulers: the calendar engine under the preserved
-    // full-walk baseline (`RouterScheduler::CalendarScan`) must reproduce
-    // the square too — it is the schedule oracle the due-only walk is
-    // pinned to, so a divergence here localizes a bug to the walk itself.
-    let baseline = sim.run_calendar_scan(kernel.as_ref()).unwrap();
-    assert_outcomes_match(&baseline, &reference, &format!("{label}/calendar-scan"));
     reference.cycles
 }
 
@@ -190,9 +181,9 @@ fn fast_path_matches_reference_under_tight_buffers() {
 /// Epoch-barrier PageRank produces exactly that shape — a burst of rank
 /// updates per epoch, then a global quiesce before the barrier releases
 /// the next wave — and tight ejection buffers plus a 2-wide endpoint
-/// budget add blocked-head waiter churn on top.  All five engines (and
-/// both router schedulers, via `assert_paths_identical`) must stay
-/// bit-identical through the alternation.
+/// budget add blocked-head waiter churn on top.  All three engines (and
+/// with them both router schedulers) must stay bit-identical through the
+/// alternation.
 #[test]
 fn engines_agree_on_alternating_sparse_dense_traffic() {
     let graph = graph();
@@ -253,8 +244,8 @@ fn lazy_tile_allocation_is_schedule_invisible() {
     }
 }
 
-/// The fault-injection half of the equivalence square: all five engines
-/// (plus the explicit parallel pool sizes) must stay bit-identical under
+/// The fault-injection half of the equivalence square: all three engines
+/// must stay bit-identical under
 /// non-empty fault plans — including the per-event `FaultReport` — and a
 /// faulted run must never finish earlier than its fault-free twin (faults
 /// delay, never drop).
